@@ -4,11 +4,12 @@
 //!   so a `Vec` with linear scans outperforms hash-based sets while giving
 //!   us O(1) uniform random choice — the operation every membership
 //!   protocol performs constantly.
-//! * [`RecentSet`] is the FIFO-bounded duplicate-suppression set used by
-//!   the gossip layers (flood dedup, Plumtree message-cache index): a
+//! * [`RecentSet`] is the FIFO-bounded duplicate-suppression set of the
+//!   flood broadcast (`GossipState` and the TCP runtime's flood dedup): a
 //!   long-running node cannot afford an unbounded seen-set, and FIFO
 //!   eviction is correct for gossip because duplicates arrive within a few
-//!   network round-trips of the original.
+//!   network round-trips of the original. Plumtree needs no separate one:
+//!   its bounded message cache is its seen-set.
 
 use rand::seq::SliceRandom;
 use rand::Rng;

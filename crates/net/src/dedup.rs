@@ -1,8 +1,8 @@
 //! Bounded duplicate-suppression set for gossip ids.
 //!
 //! [`RecentSet`] now lives in `hyparview-core` (it is shared with the
-//! gossip bookkeeping and the Plumtree message cache); this module re-exports
-//! it under its historical path.
+//! gossip crate's flood bookkeeping); this module re-exports it under its
+//! historical path.
 //!
 //! ```
 //! use hyparview_net::dedup::RecentSet;

@@ -2,10 +2,11 @@
 
 use crate::config::PlumtreeConfig;
 use crate::message::{Announcement, MsgId, PlumtreeMessage};
-use hyparview_core::collections::{RandomSet, RecentSet};
+use hyparview_core::collections::RandomSet;
 use hyparview_core::Identity;
 use hyparview_gossip::Outbox;
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Maximum number of announcements per `IHaveBatch` message. Flushes chunk
 /// longer queues so one batch always fits a wire frame (20 bytes per
@@ -208,9 +209,12 @@ pub struct PlumtreeState<I: Identity, P: Clone> {
     config: PlumtreeConfig,
     eager: RandomSet<I>,
     lazy: RandomSet<I>,
-    /// FIFO index over the cached ids; evictions keep `cache` in sync.
-    seen: RecentSet<MsgId>,
+    /// Every delivered message still remembered, with its payload: the
+    /// one table behind both duplicate detection and graft replies.
     cache: HashMap<MsgId, Cached<I, P>>,
+    /// The ids of `cache` in delivery order; the front is evicted once
+    /// [`PlumtreeConfig::cache_capacity`] is exceeded.
+    order: VecDeque<MsgId>,
     /// Undelivered messages we have heard announcements for.
     missing: HashMap<MsgId, MissingEntry<I>>,
     /// Messages with an armed missing-message timer.
@@ -225,15 +229,19 @@ pub struct PlumtreeState<I: Identity, P: Clone> {
 
 impl<I: Identity, P: Clone> PlumtreeState<I, P> {
     /// Creates the state machine for node `me`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.cache_capacity` is zero.
     pub fn new(me: I, config: PlumtreeConfig) -> Self {
-        let cache_capacity = config.cache_capacity;
+        assert!(config.cache_capacity > 0, "cache capacity must be positive");
         PlumtreeState {
             me,
             config,
             eager: RandomSet::new(),
             lazy: RandomSet::new(),
-            seen: RecentSet::new(cache_capacity),
             cache: HashMap::new(),
+            order: VecDeque::new(),
             missing: HashMap::new(),
             timer_armed: HashSet::new(),
             lazy_queue: Vec::new(),
@@ -267,10 +275,11 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
         self.eager.contains(peer) || self.lazy.contains(peer)
     }
 
-    /// `true` once `id` has been delivered (and is still remembered by the
-    /// bounded cache index).
+    /// `true` once `id` has been delivered and its payload is still in the
+    /// cache: an evicted id reads as unseen, and a re-sent payload of it
+    /// delivers again.
     pub fn has_seen(&self, id: MsgId) -> bool {
-        self.seen.contains(&id)
+        self.cache.contains_key(&id)
     }
 
     /// Number of payloads currently cached for graft replies.
@@ -562,17 +571,20 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
         out.timers.push(TimerRequest { timer: PlumtreeTimer::Missing(id), delay });
     }
 
-    /// Records `id` as seen and caches its payload, returning `true` on
-    /// first sight. Evictions from the bounded index drop the payload too.
+    /// Caches `id` with its payload, returning `true` on first sight. Past
+    /// the capacity the oldest id is evicted, which forgets it as seen and
+    /// drops its payload at once.
     fn remember(&mut self, id: MsgId, round: u32, parent: Option<I>, payload: P) -> bool {
-        let (fresh, evicted) = self.seen.insert_evicting(id);
-        if !fresh {
+        let Entry::Vacant(slot) = self.cache.entry(id) else {
             return false;
+        };
+        slot.insert(Cached { round, parent, payload });
+        self.order.push_back(id);
+        if self.order.len() > self.config.cache_capacity {
+            if let Some(oldest) = self.order.pop_front() {
+                self.cache.remove(&oldest);
+            }
         }
-        if let Some(old) = evicted {
-            self.cache.remove(&old);
-        }
-        self.cache.insert(id, Cached { round, parent, payload });
         true
     }
 
@@ -584,7 +596,7 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
         exclude: Option<I>,
         out: &mut PlumtreeOut<I, P>,
     ) {
-        for peer in self.eager.iter().copied().collect::<Vec<_>>() {
+        for &peer in self.eager.iter() {
             if Some(peer) == exclude {
                 continue;
             }
@@ -602,7 +614,7 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
     ) {
         if self.config.lazy_flush_interval == 0 {
             // Batching disabled: one IHave frame per message per lazy peer.
-            for peer in self.lazy.iter().copied().collect::<Vec<_>>() {
+            for &peer in self.lazy.iter() {
                 if Some(peer) == exclude {
                     continue;
                 }
@@ -613,7 +625,7 @@ impl<I: Identity, P: Clone> PlumtreeState<I, P> {
         }
         let ann = Announcement { id, round };
         let mut queued = false;
-        for peer in self.lazy.iter().copied().collect::<Vec<_>>() {
+        for &peer in self.lazy.iter() {
             if Some(peer) == exclude {
                 continue;
             }
@@ -927,6 +939,8 @@ mod tests {
         }
     }
 
+    /// One table answers "seen?" and "cached?", so an eviction forgets
+    /// both at once: the evicted id can neither be grafted nor suppressed.
     #[test]
     fn cache_eviction_drops_payloads() {
         let mut s: PlumtreeState<u32, &'static str> =
@@ -935,11 +949,17 @@ mod tests {
         for id in 0..3u128 {
             s.broadcast(id, "m", &mut out);
         }
-        assert_eq!(s.cached_len(), 2, "cache tracks the bounded index");
+        assert_eq!(s.cached_len(), 2, "the cache holds its capacity");
         assert!(!s.has_seen(0), "oldest id evicted");
+        assert!(s.has_seen(1) && s.has_seen(2));
         out = PlumtreeOut::new();
         s.handle_message(1, PlumtreeMessage::Graft { id: Some(0), round: 0 }, &mut out);
         assert!(sends(&mut out).is_empty(), "evicted payloads cannot be grafted");
+        out = PlumtreeOut::new();
+        s.handle_message(1, PlumtreeMessage::Gossip { id: 0, round: 4, payload: "m" }, &mut out);
+        assert_eq!(out.deliveries.len(), 1, "a re-sent evicted payload delivers again");
+        assert!(s.has_seen(0) && !s.has_seen(1), "and evicts the next oldest");
+        assert_eq!(s.cached_len(), 2);
     }
 
     #[test]

@@ -109,9 +109,10 @@ pub enum LatencyAssignment {
     /// One draw per *directed link*, fixed for the whole run: the network
     /// has a stable (and asymmetric — `a→b` and `b→a` draw independently)
     /// latency geometry, seeded from the scenario seed so the same scenario
-    /// always produces the same geometry. Per-link draws consume no
-    /// simulator randomness, so runs differing only in broadcast behavior
-    /// (e.g. Plumtree variants) still crash identical node sets.
+    /// always produces the same geometry. A link's draw is a pure function
+    /// of its seed, recomputed per frame rather than stored, and consumes
+    /// no simulator randomness, so runs differing only in broadcast
+    /// behavior (e.g. Plumtree variants) still crash identical node sets.
     PerLink,
 }
 
@@ -405,11 +406,22 @@ enum Payload<Msg> {
 #[derive(Debug)]
 struct Slot<M> {
     memb: M,
-    gossip: GossipState,
-    /// Present only in [`BroadcastMode::Plumtree`]; flood-mode slots carry
-    /// no Plumtree state (the paper's experiments run at n = 10,000).
-    plumtree: Option<PlumtreeState<SimId, ()>>,
+    broadcast: Broadcaster,
     alive: bool,
+}
+
+/// A node's broadcast state, of the configured [`BroadcastMode`]: one
+/// record of first deliveries per node, whichever mode runs.
+#[allow(clippy::large_enum_variant)] // every slot of a run holds the same variant
+#[derive(Debug)]
+enum Broadcaster {
+    /// The paper's flood: an unbounded seen-set, so the figures assume
+    /// perfect duplicate suppression.
+    Flood(GossipState),
+    /// Plumtree, whose message cache doubles as its seen-set (bounded by
+    /// [`PlumtreeConfig::cache_capacity`], far above any experiment's
+    /// broadcast count).
+    Plumtree(PlumtreeState<SimId, ()>),
 }
 
 /// Per-message tallies of one tracked broadcast.
@@ -599,9 +611,9 @@ pub struct Sim<M: Membership<SimId>> {
     factory_seed: u64,
     /// Seed of the per-link latency geometry ([`LatencyAssignment::PerLink`]).
     link_seed: u64,
-    /// Memoized per-link draws — fixed for the run by definition, so each
-    /// directed edge pays the seed-and-sample cost once.
-    link_latency: HashMap<(SimId, SimId), u64>,
+    /// The effect buffer every Plumtree step fills and
+    /// [`Sim::apply_plumtree_out`] drains, kept so steps reuse its storage.
+    plumtree_out: PlumtreeOut<SimId, ()>,
     /// Seed of the fault-decision stream ([`FaultPlan`]). Like the link
     /// seed, it is derived from the scenario seed and independent of the
     /// sim RNG: fault draws never perturb crash sets or gossip targets.
@@ -646,7 +658,7 @@ impl<M: Membership<SimId>> Sim<M> {
             factory: Box::new(factory),
             factory_seed: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1),
             link_seed: seed ^ 0x7A7E_11C7_1A7E_11C7,
-            link_latency: HashMap::new(),
+            plumtree_out: PlumtreeOut::new(),
             fault_seed: seed ^ 0xFA17_FA17_FA17_FA17,
             fault_nonce: 0,
             partition: None,
@@ -657,18 +669,15 @@ impl<M: Membership<SimId>> Sim<M> {
 
     /// The latency of one transmission from `from` to `to`, in virtual time
     /// units. Per-message assignment draws from the simulation RNG;
-    /// per-link assignment derives a stable draw from the link's own seed
-    /// (asymmetric: `a→b` and `b→a` are independent draws).
+    /// per-link assignment recomputes the link's one draw from the link's
+    /// own seed on every call (asymmetric: `a→b` and `b→a` are independent
+    /// draws) — a seed and a sample, cheaper than remembering the draws.
     fn latency_of(&mut self, from: SimId, to: SimId) -> u64 {
+        let model = self.config.latency.model;
         match self.config.latency.assignment {
-            LatencyAssignment::PerMessage => self.config.latency.model.sample(&mut self.rng),
+            LatencyAssignment::PerMessage => model.sample(&mut self.rng),
             LatencyAssignment::PerLink => {
-                let model = self.config.latency.model;
-                let link_seed = self.link_seed;
-                *self.link_latency.entry((from, to)).or_insert_with(|| {
-                    let mut link_rng = StdRng::seed_from_u64(mix_link(link_seed, from, to));
-                    model.sample(&mut link_rng)
-                })
+                model.sample(&mut StdRng::seed_from_u64(mix_link(self.link_seed, from, to)))
             }
         }
     }
@@ -783,14 +792,18 @@ impl<M: Membership<SimId>> Sim<M> {
         let seed =
             self.factory_seed.wrapping_add((id.index() as u64).wrapping_mul(0xA24B_AED4_963E_E407));
         let memb = (self.factory)(id, seed);
-        let plumtree = self.make_plumtree(id);
-        self.nodes.push(Slot { memb, gossip: GossipState::new(), plumtree, alive: true });
+        let broadcast = self.new_broadcaster(id);
+        self.nodes.push(Slot { memb, broadcast, alive: true });
         id
     }
 
-    fn make_plumtree(&self, id: SimId) -> Option<PlumtreeState<SimId, ()>> {
-        (self.config.broadcast_mode == BroadcastMode::Plumtree)
-            .then(|| PlumtreeState::new(id, self.config.plumtree.clone()))
+    fn new_broadcaster(&self, id: SimId) -> Broadcaster {
+        match self.config.broadcast_mode {
+            BroadcastMode::Flood => Broadcaster::Flood(GossipState::new()),
+            BroadcastMode::Plumtree => {
+                Broadcaster::Plumtree(PlumtreeState::new(id, self.config.plumtree.clone()))
+            }
+        }
     }
 
     /// Number of nodes ever added.
@@ -845,12 +858,15 @@ impl<M: Membership<SimId>> Sim<M> {
         self.next_broadcast
     }
 
-    /// Whether `node` has delivered broadcast `id` (works in flood and
-    /// Plumtree mode — both record first deliveries in the per-node gossip
-    /// bookkeeping). Lets experiments split reliability by node population,
-    /// e.g. honest-only reliability under an infiltration attack.
+    /// Whether `node` has delivered broadcast `id`: the flood's seen-set
+    /// answers in flood mode, the node's Plumtree message cache in Plumtree
+    /// mode. Lets experiments split reliability by node population, e.g.
+    /// honest-only reliability under an infiltration attack.
     pub fn has_delivered(&self, node: SimId, id: u64) -> bool {
-        self.nodes[node.index()].gossip.has_delivered(id)
+        match &self.nodes[node.index()].broadcast {
+            Broadcaster::Flood(gossip) => gossip.has_delivered(id),
+            Broadcaster::Plumtree(plumtree) => plumtree.has_seen(id as MsgId),
+        }
     }
 
     /// The simulator's metric registry: `sim.*` event-loop counters plus
@@ -939,10 +955,10 @@ impl<M: Membership<SimId>> Sim<M> {
     ///
     /// Panics unless the simulation runs in [`BroadcastMode::Plumtree`].
     pub fn plumtree_node(&self, id: SimId) -> &PlumtreeState<SimId, ()> {
-        self.nodes[id.index()]
-            .plumtree
-            .as_ref()
-            .expect("plumtree_node requires BroadcastMode::Plumtree")
+        match &self.nodes[id.index()].broadcast {
+            Broadcaster::Plumtree(plumtree) => plumtree,
+            Broadcaster::Flood(_) => panic!("plumtree_node requires BroadcastMode::Plumtree"),
+        }
     }
 
     /// Sum of every node's Plumtree counters (crashed nodes included —
@@ -954,8 +970,8 @@ impl<M: Membership<SimId>> Sim<M> {
         }
         let mut total = PlumtreeStats::default();
         for slot in &self.nodes {
-            if let Some(pt) = &slot.plumtree {
-                total += *pt.stats();
+            if let Broadcaster::Plumtree(plumtree) = &slot.broadcast {
+                total += *plumtree.stats();
             }
         }
         Some(total)
@@ -1080,11 +1096,11 @@ impl<M: Membership<SimId>> Sim<M> {
             .factory_seed
             .wrapping_add((id.index() as u64).wrapping_mul(0xA24B_AED4_963E_E407))
             .wrapping_add(0x5EED);
+        let broadcast = self.new_broadcaster(id);
         let slot = &mut self.nodes[id.index()];
         slot.memb = (self.factory)(id, seed);
-        slot.gossip = GossipState::new();
+        slot.broadcast = broadcast;
         slot.alive = true;
-        self.nodes[id.index()].plumtree = self.make_plumtree(id);
     }
 
     // ------------------------------------------------------------------
@@ -1143,7 +1159,7 @@ impl<M: Membership<SimId>> Sim<M> {
                 BroadcastMode::Flood => {
                     // The origin delivers its own message at hop 0 and
                     // floods.
-                    self.nodes[origin.index()].gossip.deliver(id, 0);
+                    self.flood_mut(origin.index()).deliver(id, 0);
                     self.metrics.inc(self.counters.delivered);
                     self.record_delivery(id, origin, None, 0);
                     let targets =
@@ -1174,9 +1190,9 @@ impl<M: Membership<SimId>> Sim<M> {
                     track.sent_by.record(origin.index(), id, targets);
                 }
                 BroadcastMode::Plumtree => {
-                    let mut out = PlumtreeOut::new();
-                    self.plumtree_mut(origin.index()).broadcast(id as MsgId, (), &mut out);
-                    self.apply_plumtree_out(origin, None, out, &mut track);
+                    self.step_plumtree(origin, None, &mut track, |plumtree, out| {
+                        plumtree.broadcast(id as MsgId, (), out)
+                    });
                 }
             }
         }
@@ -1308,7 +1324,6 @@ impl<M: Membership<SimId>> Sim<M> {
                 }
                 Payload::PlumtreeTimer { timer } => {
                     if self.nodes[event.to.index()].alive {
-                        let mut out = PlumtreeOut::new();
                         self.trace_event(
                             event.to,
                             TraceKind::TimerFired {
@@ -1318,8 +1333,9 @@ impl<M: Membership<SimId>> Sim<M> {
                                 },
                             },
                         );
-                        self.plumtree_mut(event.to.index()).on_timer(timer, &mut out);
-                        self.apply_plumtree_out(event.to, None, out, track);
+                        self.step_plumtree(event.to, None, track, |plumtree, out| {
+                            plumtree.on_timer(timer, out)
+                        });
                     }
                 }
             }
@@ -1392,25 +1408,51 @@ impl<M: Membership<SimId>> Sim<M> {
                 _ => {}
             }
         }
-        let mut out = PlumtreeOut::new();
-        self.plumtree_mut(to.index()).handle_message(from, message, &mut out);
-        self.apply_plumtree_out(to, Some(from), out, track);
+        self.step_plumtree(to, Some(from), track, |plumtree, out| {
+            plumtree.handle_message(from, message, out)
+        });
     }
 
     /// The node's Plumtree state; only reachable in Plumtree mode (the
     /// events and call sites that lead here exist only in that mode).
     fn plumtree_mut(&mut self, node: usize) -> &mut PlumtreeState<SimId, ()> {
-        self.nodes[node].plumtree.as_mut().expect("Plumtree event outside Plumtree mode")
+        match &mut self.nodes[node].broadcast {
+            Broadcaster::Plumtree(plumtree) => plumtree,
+            Broadcaster::Flood(_) => panic!("Plumtree event outside Plumtree mode"),
+        }
     }
 
-    /// Ships the effects of one Plumtree state-machine step: sends become
-    /// latency-delayed events, timer requests become self-addressed events,
-    /// deliveries feed the gossip bookkeeping and the broadcast accounting.
+    /// The node's flood seen-set; only reachable in flood mode.
+    fn flood_mut(&mut self, node: usize) -> &mut GossipState {
+        match &mut self.nodes[node].broadcast {
+            Broadcaster::Flood(gossip) => gossip,
+            Broadcaster::Plumtree(_) => panic!("flood delivery outside flood mode"),
+        }
+    }
+
+    /// Runs one Plumtree state-machine step at `node` into the reused
+    /// effect buffer and ships its effects.
+    fn step_plumtree(
+        &mut self,
+        node: SimId,
+        via: Option<SimId>,
+        track: &mut Track,
+        step: impl FnOnce(&mut PlumtreeState<SimId, ()>, &mut PlumtreeOut<SimId, ()>),
+    ) {
+        let mut out = std::mem::take(&mut self.plumtree_out);
+        step(self.plumtree_mut(node.index()), &mut out);
+        self.apply_plumtree_out(node, via, &mut out, track);
+        self.plumtree_out = out;
+    }
+
+    /// Ships and drains the effects of one Plumtree state-machine step:
+    /// sends become latency-delayed events, timer requests become
+    /// self-addressed events, deliveries feed the broadcast accounting.
     fn apply_plumtree_out(
         &mut self,
         node: SimId,
         via: Option<SimId>,
-        mut out: PlumtreeOut<SimId, ()>,
+        out: &mut PlumtreeOut<SimId, ()>,
         track: &mut Track,
     ) {
         for (to, message) in out.outbox.drain() {
@@ -1477,20 +1519,13 @@ impl<M: Membership<SimId>> Sim<M> {
                 self.queue.push(self.time + latency, node, to, Payload::Plumtree(message.clone()));
             }
         }
+        // Plumtree hands a message over once, on first sight.
         for delivery in out.deliveries.drain(..) {
-            let first = self.nodes[node.index()].gossip.deliver(delivery.id as u64, delivery.round);
-            if first {
-                self.metrics.inc(self.counters.delivered);
-                self.record_delivery(delivery.id as u64, node, via, delivery.round);
-            } else {
-                self.metrics.inc(self.counters.duplicates);
-            }
-            if first && track.matches(delivery.id) {
-                let round = delivery.round;
-                if let Some(per) = track.per_mut(delivery.id as u64) {
-                    per.delivered += 1;
-                    per.max_hops = per.max_hops.max(round);
-                }
+            self.metrics.inc(self.counters.delivered);
+            self.record_delivery(delivery.id as u64, node, via, delivery.round);
+            if let Some(per) = track.per_mut(delivery.id as u64) {
+                per.delivered += 1;
+                per.max_hops = per.max_hops.max(delivery.round);
             }
         }
         for request in out.timers.drain(..) {
@@ -1526,7 +1561,7 @@ impl<M: Membership<SimId>> Sim<M> {
             return;
         }
         self.metrics.inc(self.counters.gossip_delivered);
-        let first_time = self.nodes[to.index()].gossip.deliver(id, hops);
+        let first_time = self.flood_mut(to.index()).deliver(id, hops);
         if !first_time {
             self.metrics.inc(self.counters.duplicates);
             if let Some(per) = track.per_mut(id) {
@@ -2155,6 +2190,80 @@ mod tests {
         );
         assert!(uniform.optimizations >= uniform.late_optimizations);
         assert!(uniform.prunes_sent > 0, "every optimization prunes the old parent");
+    }
+
+    /// Pins the exact totals of a small static-Plumtree run over a per-link
+    /// latency geometry. Every number is a pure function of the seed, so a
+    /// change to event order, frame accounting, timer handling, delivery
+    /// bookkeeping or the latency draws shows up here as a changed total.
+    #[test]
+    fn plumtree_per_link_run_totals_are_pinned() {
+        let config = SimConfig::default()
+            .with_latency(Latency::uniform(1, 20).per_link())
+            .with_broadcast_mode(BroadcastMode::Plumtree)
+            .with_plumtree(PlumtreeConfig::default().with_timeouts_for_max_latency(20));
+        let mut sim = Sim::new(config, 13, |id, seed| {
+            HyParViewMembership::new(id, Config::default(), seed).unwrap()
+        });
+        let contact = sim.add_node();
+        for _ in 1..200 {
+            let id = sim.add_node();
+            sim.join(id, contact);
+        }
+        sim.run_cycles(5);
+        let (mut sent, mut delivered) = (0, 0);
+        for _ in 0..4 {
+            sim.run_cycles(1);
+            for _ in 0..3 {
+                let origin = sim.random_alive();
+                for report in sim.broadcast_burst_from(origin, 2).reports {
+                    sent += report.sent;
+                    delivered += report.delivered;
+                }
+            }
+        }
+        let frames = sim.metrics().value_by_name(names::FRAMES_SENT).unwrap();
+        assert_eq!(
+            (sim.stats().events_processed, frames, sent, delivered, sim.time()),
+            (49_791, 47_955, 5_980, 4_800, 202_433)
+        );
+        assert_eq!(
+            sim.plumtree_stats_total().unwrap(),
+            PlumtreeStats {
+                gossip_sent: 5_980,
+                ihave_sent: 13_232,
+                ihave_batches_sent: 0,
+                grafts_sent: 0,
+                prunes_sent: 1_204,
+                optimizations: 0,
+                late_optimizations: 0,
+                graft_dead_letters: 0,
+                delivered: 4_800,
+                redundant: 1_204,
+            }
+        );
+    }
+
+    #[test]
+    fn has_delivered_agrees_between_flood_and_plumtree() {
+        for mode in [BroadcastMode::Flood, BroadcastMode::Plumtree] {
+            let mut sim =
+                Sim::new(SimConfig::default().with_broadcast_mode(mode), 17, |id, seed| {
+                    HyParViewMembership::new(id, Config::default(), seed).unwrap()
+                });
+            let contact = sim.add_node();
+            for _ in 1..60 {
+                let id = sim.add_node();
+                sim.join(id, contact);
+            }
+            sim.run_cycles(3);
+            let report = sim.broadcast_from(contact);
+            assert!(report.is_atomic(), "{mode:?}: the stable overlay must deliver to all");
+            let never_sent = sim.next_broadcast_id();
+            let alive = sim.alive_ids();
+            assert!(alive.iter().all(|&node| sim.has_delivered(node, report.id)), "{mode:?}");
+            assert!(alive.iter().all(|&node| !sim.has_delivered(node, never_sent)), "{mode:?}");
+        }
     }
 
     #[test]
